@@ -160,10 +160,12 @@ type state = {
   (* Compositional solving. [replay] substitutes compiled per-method
      constraint modules for the instruction walk of [process_body] (same
      stream, same order — byte-identity is preserved). The incremental mode
-     seeds the state from a baseline fixpoint: while [seeding] is set,
-     [spend] neither counts nor enforces the budget (the facts are not new),
-     and bodies of methods marked in [defer_body] — the dirty components of
-     an edit — are postponed, along with the base-use consumptions of their
+     seeds the state from a baseline fixpoint: while [seeding] is set, facts
+     are inserted {e settled} — [spend] neither counts nor enforces the
+     budget, [add_obj] and [merge_into] queue nothing and [add_edge] does
+     not flush its source (see [apply_seeds] for why that is sound) — and
+     bodies of methods marked in [defer_body] — the dirty components of an
+     edit — are postponed, along with the base-use consumptions of their
      variables, to the counted phase that follows. *)
   replay : Summary.ops option;
   mutable seeding : bool;
@@ -388,7 +390,8 @@ let rec add_obj st node obj ~spec =
   st.attempts_since_sweep <- st.attempts_since_sweep + 1;
   if Filters.passes st.filters st.p spec (heap_class st (Pair_tbl.fst st.objs obj)) then begin
     let s = node_pts st node in
-    if Int_set.add s obj then begin
+    (* A settled seed is already propagated in the baseline fixpoint. *)
+    if Int_set.add s obj && not st.seeding then begin
       st.gains_since_sweep <- st.gains_since_sweep + 1;
       let k = Dynarr.get st.member_count node in
       spend_n st k;
@@ -431,9 +434,11 @@ and add_edge st ~src ~dst ~spec =
     if fresh then begin
       st.edges_added <- st.edges_added + 1;
       Dynarr.push es packed;
+      (* A seeding edge already held in the baseline fixpoint (or its source
+         has no seeded facts): nothing to flush. *)
       (match Dynarr.get st.pts src with
-      | None -> ()
-      | Some s -> Int_set.iter (fun obj -> add_obj st dst obj ~spec) s);
+      | Some s when not st.seeding -> Int_set.iter (fun obj -> add_obj st dst obj ~spec) s
+      | _ -> ());
       if st.cfg.collapse_cycles && spec = Filters.none && not st.in_merge then
         try_collapse st ~src ~dst
     end
@@ -534,9 +539,12 @@ and merge_into st ~rep ~loser =
     st.repropagations_avoided <-
       st.repropagations_avoided + ((cr - 1) * fresh_to_rep) + (cl * fresh_to_loser);
     if fresh_to_rep > 0 then begin
-      let pending = node_pending st rep in
-      Int_set.iter (fun o -> if Int_set.add pr o then Dynarr.push pending o) pl;
-      enqueue st rep
+      if st.seeding then Int_set.iter (fun o -> ignore (Int_set.add pr o)) pl
+      else begin
+        let pending = node_pending st rep in
+        Int_set.iter (fun o -> if Int_set.add pr o then Dynarr.push pending o) pl;
+        enqueue st rep
+      end
     end;
     Dynarr.set st.pts loser None);
   (* Splice the loser's out-edges onto the representative. [add_edge]
@@ -556,7 +564,9 @@ and merge_into st ~rep ~loser =
   Dynarr.set st.on_list loser false;
   (* Base uses of merged-away var nodes keep firing on the representative's
      future batches; fire them once now over the full union so objects the
-     loser had never seen are covered. Duplicate applications are no-ops. *)
+     loser had never seen are covered. Duplicate applications are no-ops.
+     While seeding, [apply_seeds] replays every member's own base facts
+     instead, and a seeded cycle's members share one baseline set. *)
   let transferred = Dynarr.create ~capacity:2 ~dummy:0 () in
   (match Node.kind loser with
   | Node.Var_node vn when var_has_uses st vn -> Dynarr.push transferred loser
@@ -569,17 +579,19 @@ and merge_into st ~rep ~loser =
   if Dynarr.length transferred > 0 then begin
     let rum = node_use_members st rep in
     Dynarr.iter (fun m -> Dynarr.push rum m) transferred;
-    let objs =
-      match Dynarr.get st.pts rep with
-      | None -> []
-      | Some s -> Int_set.to_sorted_list s
-    in
-    Dynarr.iter
-      (fun m ->
-        match Node.kind m with
-        | Node.Var_node vn -> List.iter (fun obj -> apply_var_uses st vn obj) objs
-        | _ -> assert false)
-      transferred
+    if not st.seeding then begin
+      let objs =
+        match Dynarr.get st.pts rep with
+        | None -> []
+        | Some s -> Int_set.to_sorted_list s
+      in
+      Dynarr.iter
+        (fun m ->
+          match Node.kind m with
+          | Node.Var_node vn -> List.iter (fun obj -> apply_var_uses st vn obj) objs
+          | _ -> assert false)
+        transferred
+    end
   end
 
 and apply_var_uses st vn obj =
@@ -1542,14 +1554,36 @@ let drain st =
 
 type seed = { base : Solution.t; defer : bool array }
 
-(* Replay a previously materialized solution into fresh solver state:
-   re-intern its contexts and objects (context elements name heaps, invos
-   and classes by raw program id, all stable across a monotone program
-   extension), mark its reachable pairs — processing each clean body,
-   whose constraints dedup against the seeds — and re-assert every
-   recorded points-to fact. Runs with [st.seeding] set, so none of it is
-   counted or budgeted; only work enabled by deferred (dirty) bodies is
-   derived later, in the counted phase. *)
+(* Replay a previously materialized solution into fresh solver state, as
+   settled facts. Runs with [st.seeding] set, so nothing here is counted,
+   budgeted or queued:
+
+   1. re-intern the base contexts and objects (context elements name heaps,
+      invos and classes by raw program id, all stable across a monotone
+      program extension);
+   2. mark the base reachable pairs — processing each clean body, which
+      records its edges and call-graph edges;
+   3. insert every recorded points-to fact into its set;
+   4. replay the base uses (load, store, virtual call) of every seeded var
+      fact once, rebuilding the field edges, the dispatched call-graph
+      edges and their parameter edges. Uses are replayed per original var
+      fact, not per object newly added to a set: a cycle merge may already
+      have unioned a set before that var's own facts arrive.
+
+   Why nothing needs propagating. [Summary.extends] guarantees id-stable
+   entity prefixes, dispatch preserved on every old (class, signature)
+   pair, and every old body kept as a prefix of its new body; the bodies
+   that may differ (dirty components and new methods) stay deferred, and
+   so do the uses their variables own. Every constraint rebuilt here is
+   therefore one the base program had, under the same contexts, so the
+   base fixpoint already satisfies it: no new edge needs its source
+   flushed, no inserted fact needs its edges or uses re-fired, and the
+   members of a seeded cycle already share one set. The one exception is
+   an edge out of a node the base never populated — the return variable
+   that appeared in a dirty callee, which [extends] requires to be a fresh
+   variable — and a source without seeded facts has nothing to flush.
+   Work the edit enables reaches such nodes only in the counted phase,
+   through the ordinary queued path. *)
 let apply_seeds st (base : Solution.t) =
   let n_ctxs = Ctx.count base.ctxs in
   let ctx_of = Array.make (max 1 n_ctxs) 0 in
@@ -1565,6 +1599,8 @@ let apply_seeds st (base : Solution.t) =
   for i = 0 to Pair_tbl.count base.reach - 1 do
     ignore (ensure_reachable st (Pair_tbl.fst base.reach i) ctx_of.(Pair_tbl.snd base.reach i))
   done;
+  (* Flattened (var-node pair id, obj) of every seeded var fact. *)
+  let var_facts = Dynarr.create ~capacity:1024 ~dummy:0 () in
   for n = 0 to Dynarr.length base.pts - 1 do
     match Dynarr.get base.pts n with
     | None -> ()
@@ -1587,11 +1623,26 @@ let apply_seeds st (base : Solution.t) =
           | Some id -> Node.of_exc id
           | None -> assert false (* every base reach pair was seeded above *))
       in
+      let uses =
+        match Node.kind node with
+        | Node.Var_node vn when var_has_uses st vn -> Some vn
+        | _ -> None
+      in
       (* Seeds carry no filter: each object already passed whatever filter
          guarded its original derivation. *)
-      List.iter
-        (fun o -> add_obj st node obj_of.(o) ~spec:Filters.none)
-        (Int_set.to_sorted_list s)
+      Int_set.iter
+        (fun o ->
+          let o = obj_of.(o) in
+          add_obj st node o ~spec:Filters.none;
+          match uses with
+          | Some vn ->
+            Dynarr.push var_facts vn;
+            Dynarr.push var_facts o
+          | None -> ())
+        s
+  done;
+  for i = 0 to (Dynarr.length var_facts / 2) - 1 do
+    apply_var_uses st (Dynarr.get var_facts (2 * i)) (Dynarr.get var_facts ((2 * i) + 1))
   done
 
 let run_sequential ?replay ?seed p cfg =
@@ -1602,14 +1653,13 @@ let run_sequential ?replay ?seed p cfg =
       (match seed with
       | None -> ()
       | Some { base; _ } ->
-        (* Phase 1, uncounted: rebuild the base fixpoint. Clean bodies are
-           re-processed as they become reachable; dirty bodies — and the
-           base-variable uses owned by them — are buffered instead of
-           fired, because their instructions may be new. *)
+        (* Phase 1, uncounted: insert the base fixpoint as settled facts.
+           Clean bodies are re-processed as they become reachable; dirty
+           bodies — and the base-variable uses owned by them — are
+           buffered instead of fired, because their instructions may be
+           new. Nothing is queued, so there is nothing to drain. *)
         st.seeding <- true;
         apply_seeds st base;
-        if st.cfg.collapse_cycles || cfg.order = Topo then sweep st;
-        drain st;
         st.seeding <- false;
         (* Phase 2, counted: everything the edit enables. Re-derivations of
            facts already seeded dedup to nothing; only genuinely new flow

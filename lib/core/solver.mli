@@ -98,15 +98,17 @@ type seed = { base : Solution.t; defer : bool array }
 
 val run_incremental :
   ?replay:Summary.ops -> seed:seed -> Ipa_ir.Program.t -> config -> Solution.t
-(** Re-solve after an edit, warm-starting from [seed.base]. Phase 1 replays
-    the base solution into fresh solver state without counting: contexts,
-    objects and reachable pairs are re-interned (context elements name
-    program entities by raw id, which a monotone extension keeps stable),
-    every recorded points-to fact is re-asserted, and consequences are
-    re-drained — deduping to nothing — except that dirty bodies and the
-    base-variable uses they own are buffered rather than fired. Phase 2
-    then processes the buffered work with counting on, so [derivations]
-    measures only what the edit enabled. The returned solution is
+(** Re-solve after an edit, warm-starting from [seed.base]. Phase 1 inserts
+    the base solution into fresh solver state as {e settled} facts:
+    contexts, objects and reachable pairs are re-interned (context elements
+    name program entities by raw id, which a monotone extension keeps
+    stable), every recorded points-to fact is inserted and the base uses
+    of every var fact are replayed once to rebuild the edges — nothing is
+    counted, queued or propagated, because every such constraint already
+    held in the base fixpoint. Dirty bodies and the base-variable uses
+    they own are buffered instead. Phase 2 then processes the buffered
+    work with counting on, so [derivations] measures only what the edit
+    enabled, and an unchanged program re-solves with no batch at all. The returned solution is
     byte-identical to a cold solve of the edited program (modulo counters
     and the derivation count — asserted by differential tests). Always
     sequential; requires an unbudgeted config and a [Complete] base (the

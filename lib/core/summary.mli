@@ -107,8 +107,9 @@ val compile : Program.t -> ops
 val extends : old_p:Program.t -> new_p:Program.t -> bool
 (** Whether [new_p] is a structural, id-stable superset of [old_p]: old
     entity arrays are identical prefixes (method bodies may gain appended
-    instructions; an absent return variable may appear), dispatch is
-    preserved on every old (class, signature) pair, and entries only grow.
+    instructions; an absent return variable may appear as a fresh
+    variable), dispatch is preserved on every old (class, signature) pair,
+    and entries only grow.
     This is the soundness precondition for seeding a solve of [new_p] with
     a fixpoint of [old_p]. *)
 

@@ -53,6 +53,13 @@ let config p flavor = Solver.plain p (Flavors.strategy p flavor)
 let flavors =
   [ Flavors.Insensitive; Flavors.Type_sens { depth = 2; heap = 1 } ]
 
+(* The warm chain also runs under heap and call-site contexts: settled
+   seeds are re-interned from the base, so their context elements must
+   stay stable across every edit. *)
+let warm_flavors =
+  flavors
+  @ [ Flavors.Object_sens { depth = 2; heap = 1 }; Flavors.Call_site { depth = 2; heap = 1 } ]
+
 (* ---------- cold compositional == monolithic ---------- *)
 
 let prop_compositional_identity seed =
@@ -135,13 +142,36 @@ let prop_warm_chain (seed, n_edits) =
         QCheck2.Test.fail_reportf
           "%s: warm solve after %d edit(s) differs from the cold solve" name
           (List.length edits))
-    flavors;
+    warm_flavors;
   true
 
 let test_warm_chain =
-  qtest ~count:20 "warm re-solve chain == cold (insens, 2typeH)"
+  qtest ~count:20 "warm re-solve chain == cold (insens, 2typeH, 2objH, 2callH)"
     QCheck2.Gen.(pair (int_range 400 599) (int_range 1 3))
     prop_warm_chain
+
+(* Seeds are settled facts: re-solving an unchanged program queues no
+   batch and derives nothing — the base fixpoint is not re-propagated. *)
+let test_unchanged_settled () =
+  List.iter
+    (fun seed ->
+      let p = Ipa_testlib.random_program seed in
+      List.iter
+        (fun flavor ->
+          let name = Printf.sprintf "seed %d %s" seed (Flavors.to_string flavor) in
+          let store = mem_store () in
+          let s0, _ = Comp.solve ~store p (config p flavor) in
+          let warm, report =
+            Comp.solve_incremental ~store ~base_program:p ~base_solution:s0 p (config p flavor)
+          in
+          check Alcotest.bool (name ^ ": incremental") true report.Comp.incremental;
+          check Alcotest.int (name ^ ": batch objects") 0
+            warm.Solution.counters.Solution.batch_objs;
+          check Alcotest.int (name ^ ": derivations") 0 warm.Solution.derivations;
+          check Alcotest.bool (name ^ ": warm == cold") true
+            (String.equal (warm_bytes p warm) (warm_bytes p s0)))
+        warm_flavors)
+    [ 11; 12; 13 ]
 
 (* ---------- dirty-set minimality ---------- *)
 
@@ -191,6 +221,90 @@ let test_dirty_minimality () =
   check Alcotest.bool "warm == cold" true
     (String.equal (warm_bytes edited warm) (warm_bytes edited cold))
 
+(* ---------- monotone-extension check ---------- *)
+
+(* A declares m(); B extends A and inherits it; the unrelated C declares
+   k(); main calls m() on a B. [extra] then declares one more method in B,
+   after everything else so every old id stays put: [`Override] is m(),
+   which redirects the old (B, m) dispatch; [`Adopt] is k(), which gives
+   the old pair (B, k) an entry it never had; [`Fresh_sig] is n(), which
+   touches no old pair. *)
+let hierarchy extra =
+  let b = B.create () in
+  let obj = B.add_class b "Object" in
+  let a = B.add_class b ~super:obj "A" in
+  let bc = B.add_class b ~super:a "B" in
+  let c = B.add_class b ~super:obj "C" in
+  ignore (B.add_method b ~owner:a ~name:"m" ~params:[] ());
+  ignore (B.add_method b ~owner:c ~name:"k" ~params:[] ());
+  let main = B.add_method b ~owner:a ~name:"main" ~static:true ~params:[] () in
+  let x = B.add_var b main "x" in
+  ignore (B.alloc b main ~target:x ~cls:bc);
+  ignore (B.vcall b main ~base:x ~name:"m" ~actuals:[] ());
+  B.add_entry b main;
+  (match extra with
+  | `None -> ()
+  | `Override -> ignore (B.add_method b ~owner:bc ~name:"m" ~params:[] ())
+  | `Adopt -> ignore (B.add_method b ~owner:bc ~name:"k" ~params:[] ())
+  | `Fresh_sig -> ignore (B.add_method b ~owner:bc ~name:"n" ~params:[] ()));
+  B.finish b
+
+(* [p] with [return ret] appended to the body of [meth], which did not
+   return; [fresh] makes [ret] a new variable, otherwise it is [reuse]. *)
+let with_return p meth ~fresh ~reuse =
+  let meths = Array.init (Program.n_meths p) (Program.meth_info p) in
+  let vars = Array.init (Program.n_vars p) (Program.var_info p) in
+  let vars, ret =
+    if fresh then
+      (Array.append vars [| { Program.var_name = "$ret"; var_owner = meth } |], Array.length vars)
+    else (vars, reuse)
+  in
+  let mi = meths.(meth) in
+  meths.(meth) <-
+    {
+      mi with
+      Program.ret_var = Some ret;
+      body = Array.append mi.body [| Program.Return { source = reuse } |];
+    };
+  Program.make
+    ~classes:(Array.init (Program.n_classes p) (Program.class_info p))
+    ~fields:(Array.init (Program.n_fields p) (Program.field_info p))
+    ~sigs:(Array.init (Program.n_sigs p) (Program.sig_info p))
+    ~meths ~vars
+    ~heaps:(Array.init (Program.n_heaps p) (Program.heap_info p))
+    ~invos:(Array.init (Program.n_invos p) (Program.invo_info p))
+    ~entries:(Program.entries p) ()
+
+let test_extends () =
+  let p = Ipa_testlib.random_program 21 in
+  let extends_by kind =
+    match Edits.pick ~kinds:[ kind ] ~seed:5 ~n:1 p with
+    | [ e ] -> Summary.extends ~old_p:p ~new_p:(Edits.apply p e)
+    | _ -> Alcotest.fail "no edit picked"
+  in
+  check Alcotest.bool "identical program" true (Summary.extends ~old_p:p ~new_p:p);
+  check Alcotest.bool "add-alloc" true (extends_by Edits.Add_alloc);
+  check Alcotest.bool "add-call" true (extends_by Edits.Add_call);
+  check Alcotest.bool "rewrite-body" false (extends_by Edits.Rewrite_body);
+  let base = hierarchy `None in
+  check Alcotest.bool "new method, new signature" true
+    (Summary.extends ~old_p:base ~new_p:(hierarchy `Fresh_sig));
+  check Alcotest.bool "new method overriding an inherited signature" false
+    (Summary.extends ~old_p:base ~new_p:(hierarchy `Override));
+  check Alcotest.bool "new method giving an old pair its first entry" false
+    (Summary.extends ~old_p:base ~new_p:(hierarchy `Adopt));
+  (* The converse drops an entry the old table had. *)
+  check Alcotest.bool "override removed" false
+    (Summary.extends ~old_p:(hierarchy `Override) ~new_p:base);
+  (* A return variable may appear only as a fresh variable: an old one
+     could carry base facts that no seeded return edge would flush. *)
+  let main = List.hd (Program.entries base) in
+  let x = Program.n_vars base - 1 in
+  check Alcotest.bool "fresh return variable" true
+    (Summary.extends ~old_p:base ~new_p:(with_return base main ~fresh:true ~reuse:x));
+  check Alcotest.bool "old variable as return variable" false
+    (Summary.extends ~old_p:base ~new_p:(with_return base main ~fresh:false ~reuse:x))
+
 (* ---------- seeded edit picking ---------- *)
 
 let test_pick_deterministic () =
@@ -216,9 +330,14 @@ let () =
     [
       ( "compositional",
         [ test_compositional_identity; test_jobs_independent ] );
-      ("warm", [ test_warm_chain ]);
+      ( "warm",
+        [
+          test_warm_chain;
+          Alcotest.test_case "unchanged re-solve is settled" `Quick test_unchanged_settled;
+        ] );
       ( "dirty",
         [ Alcotest.test_case "minimal dirty set" `Quick test_dirty_minimality ] );
+      ("extends", [ Alcotest.test_case "monotone-extension check" `Quick test_extends ]);
       ( "edits",
         [ Alcotest.test_case "seeded picking pinned" `Quick test_pick_deterministic ] );
     ]

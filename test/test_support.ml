@@ -393,7 +393,10 @@ let test_ascii_table_ragged () =
 let test_timer () =
   let result, elapsed = Ipa_support.Timer.time (fun () -> 21 * 2) in
   check Alcotest.int "result" 42 result;
-  check Alcotest.bool "non-negative" true (elapsed >= 0.0)
+  check Alcotest.bool "non-negative" true (elapsed >= 0.0);
+  let a = Ipa_support.Timer.now () in
+  let b = Ipa_support.Timer.now () in
+  check Alcotest.bool "monotonic" true (b >= a)
 
 let () =
   Alcotest.run "support"
